@@ -68,16 +68,6 @@ fn ingest_line(r: &IngestReport) -> String {
     )
 }
 
-/// The kernel SIMD disclosure line shared by `run` (the serve `ping` and
-/// `stats` carry the same field): what the probe/accumulate inner loops
-/// actually ran at on this machine.
-fn simd_line() -> String {
-    format!(
-        "simd     : {} (runtime-detected; MXM_NO_SIMD=1 forces scalar)",
-        masked_spgemm::simd::level().name()
-    )
-}
-
 /// `mxm run`: one masked product `C = M ⊙ (A·A)` (or `¬M ⊙ (A·A)`) where
 /// `M` is the pattern of `A` — the paper's single-input experiment shape.
 pub fn cmd_run(p: &Parsed, out: &mut impl Write) -> Result<(), String> {
@@ -175,7 +165,6 @@ pub fn cmd_run(p: &Parsed, out: &mut impl Write) -> Result<(), String> {
         None => writeln!(out, "schedule : {} (no push drives timed)", schedule.name()),
     }
     .map_err(|e| e.to_string())?;
-    writeln!(out, "{}", simd_line()).map_err(|e| e.to_string())?;
     writeln!(
         out,
         "output   : nnz {}, fingerprint {:016x}",
@@ -303,7 +292,6 @@ pub fn cmd_suite(p: &Parsed, out: &mut impl Write) -> Result<(), String> {
         busy_threads: sp.threads,
         pool_hits: pool.hits(),
         pool_misses: pool.misses(),
-        simd: masked_spgemm::simd::level().name().to_string(),
     });
     if let Some(e) = &exec {
         writeln!(

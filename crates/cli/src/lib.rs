@@ -34,13 +34,12 @@ USAGE:
             [--mmap] [--pattern] [--trace out.json] <matrix.mtx|.msb>
         One masked product C = M (.*) A*A with M = pattern(A). The run
         report includes the ingest throughput (MB/s, entries/s), the
-        load backend (heap vs zero-copy mmap), the row schedule, the
-        kernel SIMD level (runtime-detected scalar/sse4.2/avx2;
-        MXM_NO_SIMD=1 forces scalar), and the per-thread busy-time
-        spread (max/mean). --mmap memory-maps a v2 .msb input (or fresh
-        sidecar) instead of heap-copying it. --pattern drops values at
-        load: unit values come from a process-wide shared arena and
-        sidecars are written values-less (~half the bytes).
+        load backend (heap vs zero-copy mmap), the row schedule, and
+        the per-thread busy-time spread (max/mean). --mmap memory-maps
+        a v2 .msb input (or fresh sidecar) instead of heap-copying it.
+        --pattern drops values at load: unit values come from a
+        process-wide shared arena and sidecars are written values-less
+        (~half the bytes).
         --trace records phase-scoped spans (ingest, flop-prefix,
         symbolic, numeric, compaction, ...) to a chrome://tracing JSON
         file and appends a per-phase breakdown table to the report
@@ -53,10 +52,9 @@ USAGE:
               [--batch B] [--tau-max X] [--json out.json] [--no-cache]
               [--mmap] [--pattern]
         Sweep an application over datasets x schemes; print the per-case
-        table and Dolan-More profile, optionally write a JSON report
-        (its exec block records the kernel SIMD level). A warm
-        accumulator pool spans the whole sweep. --pattern loads on-disk
-        datasets values-less (TC/k-truss/BC never read weights).
+        table and Dolan-More profile, optionally write a JSON report.
+        A warm accumulator pool spans the whole sweep. --pattern loads
+        on-disk datasets values-less (TC/k-truss/BC never read weights).
 
     Row schedules (--schedule, default guided): 'static' hands each thread
     one contiguous equal-row block; 'guided' lets threads claim decreasing

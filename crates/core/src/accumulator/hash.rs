@@ -8,7 +8,6 @@
 //! factor is 0.25.
 
 use super::{Accumulator, State};
-use crate::simd::{self, SimdLevel};
 use mspgemm_sparse::Idx;
 
 const EMPTY: Idx = Idx::MAX;
@@ -29,9 +28,6 @@ pub struct HashAccum<V> {
     /// Keys inserted this row, for complemented gathers.
     inserted: Vec<Idx>,
     capacity_factor: usize,
-    /// Effective SIMD level for the probe loop, re-read at each
-    /// `begin_row` so pooled accumulators follow runtime level changes.
-    simd: SimdLevel,
 }
 
 impl<V: Copy + Default> HashAccum<V> {
@@ -52,7 +48,6 @@ impl<V: Copy + Default> HashAccum<V> {
             shift: 32,
             inserted: Vec::new(),
             capacity_factor: factor,
-            simd: simd::level(),
         }
     }
 
@@ -73,7 +68,6 @@ impl<V: Copy + Default> HashAccum<V> {
         self.shift = 32 - want.trailing_zeros();
         self.keys[..want].fill(EMPTY);
         self.inserted.clear();
-        self.simd = simd::level();
     }
 
     /// Fibonacci multiplicative hash into the table's index range.
@@ -83,12 +77,9 @@ impl<V: Copy + Default> HashAccum<V> {
     }
 
     /// Find `key`'s slot, or the empty slot where it would be inserted.
-    /// Probes in clusters of 8/4 keys on AVX2/SSE4.2 — identical slot
-    /// choice to the scalar walk (see [`crate::simd`]).
     #[inline(always)]
     fn probe(&self, key: Idx) -> usize {
-        let s = self.slot(key) & (self.cap - 1);
-        simd::hash_probe(self.simd, &self.keys, self.cap, s, key)
+        probe_from(&self.keys, self.cap, self.slot(key) & (self.cap - 1), key)
     }
 
     /// Mark `key` allowed (normal-mode mask load). Inserts the key with
@@ -257,6 +248,23 @@ impl<V: Copy + Default> HashAccum<V> {
     }
 }
 
+/// Linear probe: the first slot in probe order (starting at `start`,
+/// wrapping at `cap`) whose key is `key` or EMPTY. `cap` is a power of
+/// two with `cap <= keys.len()`, and `keys[..cap]` holds at least one
+/// EMPTY slot so the walk terminates.
+#[inline(always)]
+fn probe_from(keys: &[Idx], cap: usize, start: usize, key: Idx) -> usize {
+    let mask = cap - 1;
+    let mut s = start;
+    loop {
+        let k = keys[s];
+        if k == key || k == EMPTY {
+            return s;
+        }
+        s = (s + 1) & mask;
+    }
+}
+
 impl<V: Copy + Default> Default for HashAccum<V> {
     fn default() -> Self {
         Self::new()
@@ -380,6 +388,40 @@ mod tests {
         assert_eq!(n, keys.len());
         for (c, v) in cols.iter().zip(&vals) {
             assert_eq!(*v, *c as i64);
+        }
+    }
+
+    #[test]
+    fn probe_walks_clusters_across_the_table_end() {
+        // (cap, filled slots, start, key, expected slot).
+        type Case = (usize, Vec<(usize, Idx)>, usize, Idx, usize);
+        let wrap = vec![(6, 1), (7, 2), (0, 3), (1, 4)];
+        let full: Vec<(usize, Idx)> = (0..15).map(|s| (s, s as Idx + 100)).collect();
+        let head = vec![(0, 10), (1, 20), (2, 30)];
+        let cases: Vec<Case> = vec![
+            // A cluster at the table head: a hit and a miss.
+            (8, head.clone(), 0, 20, 1),
+            (8, head, 0, 99, 3),
+            // A cluster across the wrap at `cap`: slots 6, 7, 0, 1.
+            (8, wrap.clone(), 6, 4, 1),
+            (8, wrap, 6, 77, 2),
+            // 15 of 16 slots taken: a hit inside the run, a miss that
+            // walks to the one EMPTY slot.
+            (16, full.clone(), 3, 114, 14),
+            (16, full, 3, 999, 15),
+            // An empty table answers at the start slot.
+            (8, vec![], 5, 42, 5),
+        ];
+        for (cap, fill, start, key, want) in cases {
+            let mut keys = vec![EMPTY; cap];
+            for (s, k) in fill {
+                keys[s] = k;
+            }
+            assert_eq!(
+                probe_from(&keys, cap, start, key),
+                want,
+                "cap={cap} start={start} key={key}"
+            );
         }
     }
 

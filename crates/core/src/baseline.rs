@@ -10,7 +10,8 @@
 //!   §8.4 observes of the library — `B` is transposed *inside every call*,
 //!   and the transpose cost is attributed to the multiplication.
 //!
-//! These are algorithmic stand-ins, not bindings: see DESIGN.md §2.
+//! These are algorithmic stand-ins, not bindings: see "Substitutions"
+//! in `docs/ARCHITECTURE.md`.
 
 use crate::algos::inner::inner_masked_mxm;
 use crate::phases::Phases;

@@ -232,7 +232,6 @@ where
         Algorithm::Auto => auto_select(mask, a, b, complement),
         other => other,
     };
-    warm_gather_stream(a, b);
     match algo {
         Algorithm::Msa => run_push_with::<S, _, M>(
             mask,
@@ -337,21 +336,6 @@ where
             inner_masked_mxm_complement::<S, M>(mask.view(), a.view(), bt.view())
         }
     })
-}
-
-/// Prime the head of the push drives' B-row gather stream: the first
-/// rows of `B` that row 0 of `A` will fetch are known before any kernel
-/// runs, so their rowptr entries are prefetched here while the executor
-/// pool spins up. The per-iteration prefetches inside the kernels
-/// ([`crate::phases::RowCtx::prefetch_ahead`]) take over from there.
-fn warm_gather_stream<L, R>(a: &Csr<L>, b: &Csr<R>) {
-    if a.nrows() == 0 || !crate::simd::prefetch_enabled() {
-        return;
-    }
-    let bv = b.view();
-    for &k in a.view().row_cols(0).iter().take(8) {
-        crate::simd::prefetch_b_rowptr(&bv, k as usize);
-    }
 }
 
 /// The Fig 7 decision surface, reduced to average densities:

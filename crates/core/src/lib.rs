@@ -53,11 +53,9 @@ pub mod dispatch;
 pub mod phases;
 pub mod schedule;
 pub mod simd;
-pub mod spmv;
 
 pub use dispatch::{
     masked_mxm, masked_mxm_with_bt, masked_mxm_with_opts, Algorithm, Error, MaskMode,
 };
 pub use phases::Phases;
 pub use schedule::{ExecOpts, ExecStats, RowSchedule, WsPool};
-pub use simd::SimdLevel;

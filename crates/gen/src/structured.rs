@@ -1,6 +1,6 @@
 //! Structured graph generators: meshes and small-world rings. These stand
 //! in for the high-locality / high-clustering members of the paper's
-//! SuiteSparse test set (see DESIGN.md §2 on substitutions).
+//! SuiteSparse test set (see "Substitutions" in `docs/ARCHITECTURE.md`).
 
 use crate::rng::chunk_rng;
 use mspgemm_sparse::{Coo, Csr, Idx};

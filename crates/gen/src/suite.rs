@@ -1,8 +1,9 @@
 //! The benchmark suite: deterministic synthetic stand-ins for the 26
 //! SuiteSparse real-world graphs the paper uses for its performance
-//! profiles (§7, Nagasaka et al.'s set). See DESIGN.md §2 for the
-//! substitution rationale; the suite spans skewed (R-MAT), uniform (ER),
-//! banded (grids) and clustered (small-world, communities) regimes.
+//! profiles (§7, Nagasaka et al.'s set). See "Substitutions" in
+//! `docs/ARCHITECTURE.md` for the rationale; the suite spans skewed
+//! (R-MAT), uniform (ER), banded (grids) and clustered (small-world,
+//! communities) regimes.
 
 use crate::rmat::RmatParams;
 use crate::{er, rmat, structured};

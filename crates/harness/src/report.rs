@@ -126,10 +126,6 @@ pub struct ExecSummary {
     pub pool_hits: u64,
     /// Workspace-pool takes that had to allocate fresh.
     pub pool_misses: u64,
-    /// The SIMD level the kernels ran at (`scalar` / `sse4.2` / `avx2`),
-    /// as runtime-detected (or capped by `MXM_NO_SIMD` / a build without
-    /// the `simd` feature).
-    pub simd: String,
 }
 
 impl ExecSummary {
@@ -178,14 +174,12 @@ impl SuiteReport {
         if let Some(e) = &self.exec {
             out.push_str(&format!(
                 "  \"exec\": {{\"busy_max_over_mean\": {:.4}, \"busy_threads\": {}, \
-                 \"pool_hits\": {}, \"pool_misses\": {}, \"hit_rate\": {:.4}, \
-                 \"simd\": \"{}\"}},\n",
+                 \"pool_hits\": {}, \"pool_misses\": {}, \"hit_rate\": {:.4}}},\n",
                 e.busy_max_over_mean,
                 e.busy_threads,
                 e.pool_hits,
                 e.pool_misses,
-                e.hit_rate(),
-                json_escape(&e.simd)
+                e.hit_rate()
             ));
         }
         out.push_str("  \"datasets\": [\n");
@@ -270,7 +264,6 @@ mod tests {
                 busy_threads: 8,
                 pool_hits: 30,
                 pool_misses: 10,
-                simd: "avx2".into(),
             }),
             datasets: vec![
                 DatasetInfo {
@@ -314,7 +307,6 @@ mod tests {
             busy_threads: 1,
             pool_hits: 0,
             pool_misses: 0,
-            simd: "scalar".into(),
         };
         assert_eq!(e.hit_rate(), 0.0, "no takes: defined as zero");
     }

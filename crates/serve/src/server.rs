@@ -835,7 +835,6 @@ fn op_ping(state: &ServerState) -> OpResult {
         ("op", Json::str("ping")),
         ("pong", true.into()),
         ("version", Json::str(env!("CARGO_PKG_VERSION"))),
-        ("simd", Json::str(masked_spgemm::simd::level().name())),
         ("uptime_s", state.started.elapsed().as_secs_f64().into()),
         ("datasets", state.registry.len().into()),
     ]))
@@ -1646,7 +1645,6 @@ fn op_stats(state: &ServerState) -> OpResult {
                 ("count", lat.count.into()),
             ]),
         ),
-        ("simd", Json::str(masked_spgemm::simd::level().name())),
         ("datasets", Json::Arr(datasets)),
         ("total_mem_bytes", total_mem.into()),
         ("total_mapped_bytes", total_mapped.into()),
@@ -1692,11 +1690,6 @@ fn publish_gauges(state: &ServerState) {
     let m = &state.metrics;
     m.gauge("uptime_seconds", &[])
         .set(state.started.elapsed().as_secs_f64());
-    // SIMD level as an ordinal (0 = scalar, 1 = sse4.2, 2 = avx2), with
-    // the level name on the label so dashboards can show either form.
-    let simd = masked_spgemm::simd::level();
-    m.gauge("simd_level", &[("level", simd.name())])
-        .set(simd as u8 as f64);
     m.gauge("ws_pool_hits", &[])
         .set(state.ws_pool.hits() as f64);
     m.gauge("ws_pool_misses", &[])
@@ -2042,15 +2035,9 @@ mod tests {
         // The mxm verb still runs against arena-backed values.
         ok(&state, r#"{"op":"mxm","dataset":"p","algo":"hash"}"#);
 
-        // Disclosure: ping/stats carry the SIMD level, stats carries the
-        // per-dataset pattern flags and the once-per-process arena bytes.
-        let ping = ok(&state, r#"{"op":"ping"}"#);
-        assert!(ping.get("simd").unwrap().as_str().is_some());
+        // Disclosure: stats carries the per-dataset pattern flags and the
+        // once-per-process arena bytes.
         let stats = ok(&state, r#"{"op":"stats"}"#);
-        assert_eq!(
-            stats.get("simd").unwrap().as_str(),
-            Some(masked_spgemm::simd::level().name())
-        );
         assert!(stats.get("unit_arena_bytes").unwrap().as_u64().unwrap() > 0);
         let rows = match stats.get("datasets").unwrap() {
             Json::Arr(rows) => rows,
