@@ -29,6 +29,7 @@ use mspgemm_sparse::{Csr, CsrRef, Idx};
 use rayon::prelude::*;
 use std::any::Any;
 use std::ops::Range;
+use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
 /// Execution strategy (§6): with (`Two`) or without (`One`) a symbolic
@@ -176,6 +177,13 @@ impl<W: Any + Send> Drop for WsLease<'_, W> {
 /// unit — the drive must not re-group the work partition the policy
 /// computed. Records per-executor busy time (rank-folded at drive end)
 /// when `opts.stats` is set.
+///
+/// With a [`WsPool`], the executors' workspaces are leased *before* the
+/// drive: an executor that claims no chunk builds no workspace, so a
+/// lazily leasing pass takes a timing-dependent number of them and an
+/// identical repeat could still miss. Leased up front, every pass takes
+/// `min(threads, chunks)` workspaces, and a pass that follows an
+/// identical one is miss-free.
 fn run_rows<S, K>(
     chunks: &[Range<usize>],
     opts: &ExecOpts<'_>,
@@ -192,11 +200,22 @@ fn run_rows<S, K>(
     } else {
         0
     };
+    let lease = || {
+        WsLease::new(opts.ws_pool, opts.stats, kernel.ws_tag(), key_ncols, || {
+            kernel.make_ws(ncols)
+        })
+    };
+    let ahead: Mutex<Vec<_>> = Mutex::new(match opts.ws_pool {
+        Some(_) => {
+            let executors = rayon::current_num_threads().min(chunks.len()).max(1);
+            (0..executors).map(|_| lease()).collect()
+        }
+        None => Vec::new(),
+    });
     chunks.par_iter().with_max_len(1).for_each_init(
         || {
-            WsLease::new(opts.ws_pool, opts.stats, kernel.ws_tag(), key_ncols, || {
-                kernel.make_ws(ncols)
-            })
+            let next = ahead.lock().unwrap_or_else(PoisonError::into_inner).pop();
+            next.unwrap_or_else(lease)
         },
         |lease, range| {
             let t0 = lease.stats.map(|_| Instant::now());
@@ -209,6 +228,8 @@ fn run_rows<S, K>(
             }
         },
     );
+    // Leases no executor claimed go back to the pool (with no busy time).
+    drop(ahead);
     if let Some(stats) = opts.stats {
         stats.fold_drive();
     }

@@ -155,6 +155,46 @@ fn ws_pool_steady_state_allocates_nothing() {
 }
 
 #[test]
+fn repeat_pass_on_a_fresh_pool_never_misses() {
+    // An executor builds its workspace only once it claims a chunk, so how
+    // many a pass leases depends on timing; a repeat pass that happened to
+    // need more executors than the first used to miss. The drive now
+    // leases one workspace per executor up front, so the second of two
+    // identical passes is miss-free every time.
+    let a = single_heavy_row(64);
+    let mask = a.pattern();
+    let threads = rayon::ThreadPoolBuilder::new()
+        .num_threads(4)
+        .build()
+        .unwrap();
+    threads.install(|| {
+        for combo in [
+            (Algorithm::Hash, MaskMode::Mask, Phases::Two),
+            (Algorithm::Msa, MaskMode::Mask, Phases::One),
+        ] {
+            for round in 0..50 {
+                let pool = WsPool::new();
+                let opts = ExecOpts {
+                    schedule: RowSchedule::Guided,
+                    ws_pool: Some(&pool),
+                    stats: None,
+                    deadline: None,
+                };
+                let first = run_sched(&mask, &a, combo, &opts);
+                let misses = pool.misses();
+                let second = run_sched(&mask, &a, combo, &opts);
+                assert_eq!(first, second);
+                assert_eq!(
+                    pool.misses(),
+                    misses,
+                    "{combo:?} round {round}: the repeat pass allocated a workspace"
+                );
+            }
+        }
+    });
+}
+
+#[test]
 fn ws_pool_is_safe_across_kernels_and_modes() {
     // One pool shared by every algorithm and both mask modes: the
     // (type, tag, ncols) shelf key must keep incompatible workspaces

@@ -7,8 +7,8 @@
 //! Unix-domain socket.
 
 use crate::json::{self, Json};
-use crate::protocol::{read_frame, Frame, MAX_REQUEST_BYTES};
-use std::io::{BufReader, Write};
+use crate::protocol::{read_frame, write_frame, Frame, MAX_REQUEST_BYTES};
+use std::io::BufReader;
 use std::net::TcpStream;
 #[cfg(unix)]
 use std::os::unix::net::UnixStream;
@@ -43,6 +43,9 @@ impl Client {
             }
         } else {
             let stream = TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
+            stream
+                .set_nodelay(true)
+                .map_err(|e| format!("connect {addr}: {e}"))?;
             let reader = BufReader::new(stream.try_clone().map_err(|e| e.to_string())?);
             Conn::Tcp(reader, stream)
         };
@@ -59,14 +62,12 @@ impl Client {
     pub fn request_line(&mut self, line: &str) -> Result<Json, String> {
         let frame = match &mut self.conn {
             Conn::Tcp(reader, writer) => {
-                writeln!(writer, "{line}").map_err(|e| format!("send: {e}"))?;
-                writer.flush().map_err(|e| format!("send: {e}"))?;
+                write_frame(writer, line).map_err(|e| format!("send: {e}"))?;
                 read_frame(reader, MAX_REQUEST_BYTES).map_err(|e| format!("recv: {e}"))?
             }
             #[cfg(unix)]
             Conn::Unix(reader, writer) => {
-                writeln!(writer, "{line}").map_err(|e| format!("send: {e}"))?;
-                writer.flush().map_err(|e| format!("send: {e}"))?;
+                write_frame(writer, line).map_err(|e| format!("send: {e}"))?;
                 read_frame(reader, MAX_REQUEST_BYTES).map_err(|e| format!("recv: {e}"))?
             }
         };

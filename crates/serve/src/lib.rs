@@ -65,3 +65,13 @@ pub use json::Json;
 pub use protocol::{ErrorCode, MAX_REQUEST_BYTES};
 pub use registry::{Dataset, Registry};
 pub use server::{ServeConfig, Server, ServerState};
+
+/// The failpoint table is process-global: a lib test that arms one, or
+/// that fires or reports one (every `update` passes `serve.update.swap`),
+/// holds this lock so no other test consumes or observes its shots.
+#[cfg(test)]
+pub(crate) fn failpoint_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}

@@ -13,6 +13,13 @@
 //! * lazily, the relabeled triangle-counting operands — built on the
 //!   first `app tc` request against this dataset and reused afterwards.
 //!
+//! Operands are held once and aliased, not copied: the matrix is frozen
+//! behind shared sections ([`Csr::into_shared`]), the mask is its
+//! pattern view, and when the matrix is its own transpose (and also
+//! loopless and unit-valued) `matrix_t` (and `adj`) are the matrix
+//! itself — the common case for graph inputs. Only a matrix that fails
+//! those checks pays for real copies.
+//!
 //! Loading goes through the `.msb` sidecar cache ([`mspgemm_io`]), so the
 //! first `load` of a text matrix warms the sidecar and every later server
 //! start deserializes the binary directly.
@@ -43,7 +50,7 @@
 //! The `update` verb mutates a resident dataset through a per-entry
 //! [`Overlay`]: edge upserts/deletes accumulate against the last
 //! *compacted base*, every batch produces a fresh merged [`Dataset`]
-//! (derived operands rebuilt, sections heap-owned — mutating never
+//! (derived operands re-derived, sections heap-owned — mutating never
 //! touches an mmap'd base), and the new `Arc` swaps into the entry under
 //! the write lock while in-flight readers keep the old views. Past the
 //! compaction threshold (or on request) the merged dataset is promoted
@@ -61,7 +68,7 @@ use mspgemm_io::{
     MsbBackend,
 };
 use mspgemm_sparse::overlay::{DeltaOp, Overlay};
-use mspgemm_sparse::{transpose, Csr, Idx};
+use mspgemm_sparse::{transpose, Csr, Idx, StorageReport};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{
@@ -87,15 +94,19 @@ pub struct Dataset {
     /// The matrix as loaded from disk (square — the server rejects
     /// rectangular inputs at `load`, like `mxm run` does).
     pub matrix: Csr<f64>,
-    /// Structural pattern of `matrix` — the mask of the `mxm` verb.
+    /// Structural pattern of `matrix` — the mask of the `mxm` verb. It
+    /// aliases the matrix's `rowptr`/`colidx` sections.
     pub mask: Csr<()>,
     /// `matrixᵀ`, pre-computed once so Inner-scheme requests skip the
-    /// per-call transpose the paper charges to `SS:DOT` (§8.4).
+    /// per-call transpose the paper charges to `SS:DOT` (§8.4). Aliases
+    /// `matrix` when the matrix is its own transpose.
     pub matrix_t: Csr<f64>,
     /// Normalized simple undirected adjacency (symmetric pattern, no
-    /// self-loops, unit weights) — the application operand.
+    /// self-loops, unit weights) — the application operand. Aliases
+    /// `matrix` when the matrix already is one.
     pub adj: Csr<f64>,
-    /// What [`to_adjacency`] changed while normalizing.
+    /// What [`to_adjacency`] changed while normalizing (all zero when
+    /// `adj` aliases the matrix).
     pub adj_stats: AdjacencyStats,
     /// FLOP count (2 × multiplies) of the unmasked `matrix·matrix`
     /// product — the `mxm` verb's GFLOPS denominator, computed once here
@@ -139,7 +150,9 @@ impl Dataset {
     }
 
     /// Derive every resident operand from a raw square matrix — shared by
-    /// the disk loader and the update path's rebuilds.
+    /// the disk loader and the update path's rebuilds. The matrix is
+    /// frozen first, so the mask and every operand equal to the matrix
+    /// alias its sections instead of copying them.
     fn derive(
         name: String,
         path: String,
@@ -147,9 +160,19 @@ impl Dataset {
         ingest: IngestReport,
         loaded_at: Instant,
     ) -> Dataset {
+        let matrix = matrix.into_shared();
         let mask = matrix.pattern();
-        let mut matrix_t = transpose(&matrix);
-        let (mut adj, adj_stats) = to_adjacency(&matrix);
+        let (symmetric, simple) = matrix.symmetric_and_simple();
+        let mut matrix_t = if symmetric {
+            matrix.clone()
+        } else {
+            transpose(&matrix)
+        };
+        let (mut adj, adj_stats) = if simple {
+            (matrix.clone(), AdjacencyStats::default())
+        } else {
+            to_adjacency(&matrix)
+        };
         if matrix.values_unit_shared() {
             // Pattern-loaded base: the transpose and the normalized
             // adjacency are all-ones too, so point their value sections at
@@ -212,11 +235,13 @@ impl Dataset {
         self.matrix.values_unit_shared()
     }
 
-    /// Approximate resident bytes across all held operands. Unit-arena
-    /// value sections are excluded — they are one process-wide allocation
-    /// shared by every pattern dataset, disclosed via [`Self::unit_bytes`].
+    /// Approximate resident bytes across all held operands, each aliased
+    /// section counted once. Unit-arena value sections are excluded —
+    /// they are one process-wide allocation shared by every pattern
+    /// dataset, disclosed via [`Self::unit_bytes`].
     pub fn mem_bytes(&self) -> u64 {
-        self.sum_reports(|r| (r.heap_bytes + r.shared_bytes) as u64)
+        let r = self.storage();
+        (r.heap_bytes + r.shared_bytes) as u64
     }
 
     /// Bytes of value sections served by the shared unit arena across all
@@ -225,20 +250,23 @@ impl Dataset {
     /// dataset, so they are deliberately left out of [`Self::mem_bytes`]
     /// and the eviction budget.
     pub fn unit_bytes(&self) -> u64 {
-        self.sum_reports(|r| r.unit_bytes as u64)
+        self.storage().unit_bytes as u64
     }
 
-    fn sum_reports(&self, f: impl Fn(&mspgemm_sparse::StorageReport) -> u64) -> u64 {
-        let tc = self
-            .tc_ops
-            .get()
-            .map(|ops| f(&ops.l.storage_report()) + f(&ops.lt.storage_report()))
-            .unwrap_or(0);
-        f(&self.matrix.storage_report())
-            + f(&self.mask.storage_report())
-            + f(&self.matrix_t.storage_report())
-            + f(&self.adj.storage_report())
-            + tc
+    /// Byte totals over every held operand's sections, counting each
+    /// distinct section once (the mask and aliased operands share the
+    /// matrix's).
+    fn storage(&self) -> StorageReport {
+        let mut sections = Vec::with_capacity(18);
+        sections.extend(self.matrix.sections());
+        sections.extend(self.mask.sections());
+        sections.extend(self.matrix_t.sections());
+        sections.extend(self.adj.sections());
+        if let Some(ops) = self.tc_ops.get() {
+            sections.extend(ops.l.sections());
+            sections.extend(ops.lt.sections());
+        }
+        StorageReport::of_distinct(sections)
     }
 
     /// How the raw matrix got resident (`heap` or zero-copy `mmap`).
@@ -247,11 +275,11 @@ impl Dataset {
     }
 
     /// Bytes of resident sections that are mmap-shared rather than
-    /// heap-owned, across every held operand (the raw matrix, its mask —
-    /// which shares the mapping — and the derived operands, which are
-    /// heap-built and contribute 0).
+    /// heap-owned, each mapped section counted once however many
+    /// operands alias it (the mask always does; `matrix_t` and `adj` do
+    /// when they alias the matrix, and are heap-built otherwise).
     pub fn mapped_bytes(&self) -> u64 {
-        self.sum_reports(|r| r.shared_bytes as u64)
+        self.storage().shared_bytes as u64
     }
 }
 
@@ -920,6 +948,59 @@ mod tests {
     }
 
     #[test]
+    fn symmetry_check_agrees_with_the_derived_operands() {
+        // Bitwise: the transpose must match the matrix exactly, and the
+        // adjacency must equal it, whenever the check lets them alias.
+        let same_bits = |a: &Csr<f64>, b: &Csr<f64>| {
+            a.rowptr() == b.rowptr()
+                && a.colidx() == b.colidx()
+                && a.values()
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .eq(b.values().iter().map(|v| v.to_bits()))
+        };
+        let mut x = 0x9e3779b97f4a7c15u64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let values = [1.0, 1.0, 1.0, 2.0, -0.0, 0.0];
+        let mut seen = [0usize; 3];
+        for case in 0..400 {
+            let n = 1 + (next() % 9) as usize;
+            let mut coo = mspgemm_sparse::Coo::new(n, n);
+            for _ in 0..next() % 20 {
+                let (i, j) = ((next() % n as u64) as Idx, (next() % n as u64) as Idx);
+                let v = values[(next() % values.len() as u64) as usize];
+                coo.push(i, j, v);
+                // Mostly mirrored, so the symmetric branches are reached.
+                if next() % 8 != 0 {
+                    let w = if next() % 16 == 0 { 3.0 } else { v };
+                    coo.push(j, i, w);
+                }
+            }
+            let a: Csr<f64> = coo.to_csr(|first, _| first);
+            let (symmetric, simple) = a.symmetric_and_simple();
+            let t = transpose(&a);
+            assert_eq!(
+                symmetric,
+                same_bits(&a, &t),
+                "case {case}: {:?}",
+                a.to_dense()
+            );
+            let simple_ref = symmetric && same_bits(&a, &to_adjacency(&a).0);
+            assert_eq!(simple, simple_ref, "case {case}: {:?}", a.to_dense());
+            seen[usize::from(symmetric) + usize::from(simple)] += 1;
+        }
+        assert!(
+            seen.iter().all(|&c| c > 0),
+            "every outcome exercised: {seen:?}"
+        );
+    }
+
+    #[test]
     fn tc_operands_are_cached() {
         let dir = fixture_dir();
         let mtx = dir.join("tc.mtx");
@@ -1033,6 +1114,7 @@ mod tests {
 
     #[test]
     fn update_bumps_version_merges_and_compacts() {
+        let _fp = crate::failpoint_lock();
         let dir = fixture_dir();
         let mtx = dir.join("upd.mtx");
         write_graph(&mtx);
@@ -1119,6 +1201,7 @@ mod tests {
 
     #[test]
     fn update_flips_backend_to_heap_and_tc_cache_tracks_versions() {
+        let _fp = crate::failpoint_lock();
         let dir = fixture_dir();
         let mtx = dir.join("updtc.mtx");
         write_graph(&mtx);
@@ -1200,6 +1283,7 @@ mod tests {
 
     #[test]
     fn unload_racing_update_swap_leaves_registry_consistent() {
+        let _fp = crate::failpoint_lock();
         // The registry-level half of the race regression: unload lands in
         // the window between an update's rebuild and its swap. The typed
         // failure and the absent entry are the contract; the live-socket

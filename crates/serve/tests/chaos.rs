@@ -358,12 +358,12 @@ fn unload_races_an_in_flight_fused_group() {
     let reference =
         fingerprint(&client::query_once(&addr, &mxm_req("g", "hash", "normal")).unwrap());
 
-    // Each pass runs the kernel twice (time_best's warm-up + the timed
-    // rep), so four shots cover exactly two passes: the blocker's pass
-    // (~600ms, letting the riders pile up behind it and fuse) and the
-    // riders' own pass (~600ms more, so the unload lands mid-kernel,
-    // after the batch resolved its Arc'd views).
-    mspgemm_fault::configure("kernel.numeric=4*delay(300)").unwrap();
+    // Each pass runs the kernel once (`reps` = 1, no warm-up), so two
+    // shots cover exactly two passes: the blocker's pass (~600ms,
+    // letting the riders pile up behind it and fuse) and the riders' own
+    // pass (~600ms more, so the unload lands mid-kernel, after the batch
+    // resolved its Arc'd views).
+    mspgemm_fault::configure("kernel.numeric=2*delay(600)").unwrap();
     std::thread::scope(|scope| {
         let blocker =
             scope.spawn(|| client::query_once(&addr, &mxm_req("block", "hash", "normal")).unwrap());

@@ -82,6 +82,31 @@ fn tcp_end_to_end_session() {
 }
 
 #[test]
+fn serial_pings_on_one_connection_take_well_under_a_delayed_ack() {
+    // A frame split over two writes lets Nagle hold the second segment
+    // for the peer's delayed ACK: ~40-90 ms per round trip on a
+    // persistent connection. One write per frame plus TCP_NODELAY on both
+    // ends keeps the median at the loopback cost.
+    let (_server, addr) = start_with("pings", 20);
+    let mut c = Client::connect(&addr).unwrap();
+    let ping = req(vec![("op", Json::str("ping"))]);
+    let mut rtts: Vec<Duration> = (0..1000)
+        .map(|_| {
+            let t0 = std::time::Instant::now();
+            client::expect_ok(c.request(&ping).unwrap()).unwrap();
+            t0.elapsed()
+        })
+        .collect();
+    rtts.sort();
+    let median = rtts[rtts.len() / 2];
+    assert!(
+        median < Duration::from_millis(5),
+        "median ping round trip {median:?} (p90 {:?})",
+        rtts[rtts.len() * 9 / 10]
+    );
+}
+
+#[test]
 fn concurrent_clients_stress() {
     let (server, addr) = start_with("stress", 200);
     let clients = 8;

@@ -3,7 +3,7 @@
 //! Heap and Inner kernels rely on this invariant and every kernel in this
 //! workspace preserves it.
 
-use crate::storage::Storage;
+use crate::storage::{Backing, Storage};
 use crate::util::UnsafeSlice;
 use crate::view::CsrRef;
 use crate::Idx;
@@ -58,6 +58,50 @@ pub struct StorageReport {
     /// not per matrix, so residency sums should not count them per
     /// dataset.
     pub unit_bytes: usize,
+}
+
+impl StorageReport {
+    /// Byte totals of `sections`, counting each distinct memory range
+    /// once: matrices that alias one buffer (a pattern mask, an operand
+    /// frozen and shared with [`Csr::into_shared`]) hold it once.
+    pub fn of_distinct(sections: impl IntoIterator<Item = Section>) -> Self {
+        let mut seen: Vec<(usize, usize)> = Vec::new();
+        let mut r = StorageReport::default();
+        for s in sections {
+            if s.bytes == 0 || seen.contains(&(s.addr, s.bytes)) {
+                continue;
+            }
+            seen.push((s.addr, s.bytes));
+            match s.backing {
+                Backing::Heap => r.heap_bytes += s.bytes,
+                Backing::Shared => r.shared_bytes += s.bytes,
+                Backing::Unit => r.unit_bytes += s.bytes,
+            }
+        }
+        r
+    }
+}
+
+/// One section's memory range and backing — what
+/// [`StorageReport::of_distinct`] deduplicates on.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Section {
+    /// Address of the first element.
+    pub addr: usize,
+    /// Length in bytes.
+    pub bytes: usize,
+    /// Where the bytes live.
+    pub backing: Backing,
+}
+
+impl Section {
+    fn of<T>(s: &Storage<T>) -> Self {
+        Section {
+            addr: s.as_ptr() as usize,
+            bytes: std::mem::size_of_val(s.as_slice()),
+            backing: s.backing(),
+        }
+    }
 }
 
 impl<T> Csr<T> {
@@ -145,34 +189,43 @@ impl<T> Csr<T> {
         )
     }
 
-    /// Whether any section is [`Storage::Shared`] (e.g. mmap-backed).
+    /// Whether any section is [`Storage::Shared`] (e.g. mmap-backed, or
+    /// frozen by [`Csr::into_shared`]).
     pub fn has_shared_storage(&self) -> bool {
         self.rowptr.is_shared() || self.colidx.is_shared() || self.values.is_shared()
     }
 
     /// Per-backing byte totals of the three sections. The categories are
-    /// disjoint: a section is heap-owned, shared (mmap etc.), or a view
-    /// of the process-wide unit arena.
+    /// disjoint: a section is heap memory (owned or frozen), shared
+    /// (mmap etc.), or a view of the process-wide unit arena.
     pub fn storage_report(&self) -> StorageReport {
-        let mut r = StorageReport::default();
-        let mut add = |st: (bool, bool), bytes: usize| match st {
-            (true, _) => r.unit_bytes += bytes,
-            (_, true) => r.shared_bytes += bytes,
-            _ => r.heap_bytes += bytes,
-        };
-        add(
-            (self.rowptr.is_unit_arena(), self.rowptr.is_shared()),
-            std::mem::size_of_val(self.rowptr.as_slice()),
-        );
-        add(
-            (self.colidx.is_unit_arena(), self.colidx.is_shared()),
-            std::mem::size_of_val(self.colidx.as_slice()),
-        );
-        add(
-            (self.values.is_unit_arena(), self.values.is_shared()),
-            std::mem::size_of_val(self.values.as_slice()),
-        );
-        r
+        StorageReport::of_distinct(self.sections())
+    }
+
+    /// The memory range and backing of `rowptr`, `colidx` and `values`.
+    pub fn sections(&self) -> [Section; 3] {
+        [
+            Section::of(&self.rowptr),
+            Section::of(&self.colidx),
+            Section::of(&self.values),
+        ]
+    }
+
+    /// Move every heap-owned section behind a frozen shared view
+    /// ([`crate::storage::SharedSlice::freeze`]), so `clone()` and
+    /// [`Csr::pattern`] of the result alias its buffers instead of
+    /// copying them. Shared sections are kept; accounting still reports
+    /// frozen sections as heap, and mutation copies on write as usual.
+    pub fn into_shared(self) -> Self
+    where
+        T: Send + Sync + 'static,
+    {
+        Self {
+            rowptr: self.rowptr.into_shared(),
+            colidx: self.colidx.into_shared(),
+            values: self.values.into_shared(),
+            ..self
+        }
     }
 
     /// Build from raw parts without validation (debug builds still assert).
@@ -350,6 +403,41 @@ impl Csr<f64> {
     /// values buffer is freed (or its mmap section released).
     pub fn set_unit_values(&mut self) {
         self.values = crate::storage::shared_ones(self.nnz()).into();
+    }
+
+    /// Whether the derived operands of this square matrix may alias it:
+    /// `(a == aᵀ, a == to_adjacency(a))` in the serving layer's terms,
+    /// checked in parallel without allocating. Every entry above the
+    /// diagonal must find its mirror below it with the same bits (a
+    /// binary search in the mirror row), and the two triangles must hold
+    /// equally many entries — so the mirror map is a bijection and the
+    /// matrix equals its transpose bit for bit. The second holds when the
+    /// matrix is, in addition, loopless and every value is `1.0`: it
+    /// already is a simple undirected adjacency. A non-square matrix is
+    /// neither.
+    pub fn symmetric_and_simple(&self) -> (bool, bool) {
+        if self.nrows != self.ncols {
+            return (false, false);
+        }
+        let (lower, upper, mirrored, simple) = (0..self.nrows)
+            .into_par_iter()
+            .map(|i| {
+                let (cols, vals) = self.row(i);
+                let below = cols.partition_point(|&j| (j as usize) < i);
+                let diagonal = cols.get(below).is_some_and(|&j| j as usize == i);
+                let above = below + usize::from(diagonal);
+                let mirrored = cols[above..].iter().zip(&vals[above..]).all(|(&j, &v)| {
+                    self.get(j as usize, i as Idx).map(|w| w.to_bits()) == Some(v.to_bits())
+                });
+                let simple = !diagonal && vals.iter().all(|&v| v == 1.0);
+                (below, cols.len() - above, mirrored, simple)
+            })
+            .reduce(
+                || (0, 0, true, true),
+                |x, y| (x.0 + y.0, x.1 + y.1, x.2 && y.2, x.3 && y.3),
+            );
+        let symmetric = mirrored && lower == upper;
+        (symmetric, symmetric && simple)
     }
 
     /// Rebind the values section to the shared unit arena **iff** every
@@ -752,6 +840,35 @@ mod tests {
         assert_eq!(p.storage_report().heap_bytes, 0, "pattern values are ()");
         // A clone is cheap and still equal.
         assert_eq!(shared.clone(), owned);
+    }
+
+    #[test]
+    fn into_shared_clones_alias_and_count_once() {
+        let a = small();
+        let bytes = a.storage_report().heap_bytes;
+        let frozen = a.clone().into_shared();
+        assert_eq!(frozen, a);
+        assert!(frozen.has_shared_storage());
+        let (t, p) = (frozen.clone(), frozen.pattern());
+        assert_eq!(t.rowptr().as_ptr(), frozen.rowptr().as_ptr());
+        assert_eq!(t.values().as_ptr(), frozen.values().as_ptr());
+        assert_eq!(p.colidx().as_ptr(), frozen.colidx().as_ptr());
+        // Frozen sections are heap, and aliases are counted once.
+        assert_eq!(frozen.storage_report().heap_bytes, bytes);
+        let all = frozen
+            .sections()
+            .into_iter()
+            .chain(t.sections())
+            .chain(p.sections());
+        let r = StorageReport::of_distinct(all);
+        assert_eq!((r.heap_bytes, r.shared_bytes, r.unit_bytes), (bytes, 0, 0));
+        // Two owned twins are two allocations.
+        let twins = a.sections().into_iter().chain(a.clone().sections());
+        assert_eq!(StorageReport::of_distinct(twins).heap_bytes, 2 * bytes);
+        // Mutation copies on write and leaves the aliases untouched.
+        let mut m = frozen.clone();
+        m.values_mut()[0] = -1.0;
+        assert_eq!(frozen, a);
     }
 
     #[test]

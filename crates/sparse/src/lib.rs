@@ -49,11 +49,11 @@ pub mod view;
 pub type Idx = u32;
 
 pub use coo::Coo;
-pub use csr::{Csr, StorageReport};
+pub use csr::{Csr, Section, StorageReport};
 pub use overlay::{DeltaOp, Overlay};
 pub use semiring::Semiring;
 pub use storage::{
-    is_shared_ones, shared_ones, unit_arena_bytes, SectionOwner, SharedSlice, Storage,
+    is_shared_ones, shared_ones, unit_arena_bytes, Backing, SectionOwner, SharedSlice, Storage,
 };
 pub use transpose::transpose;
 pub use view::CsrRef;

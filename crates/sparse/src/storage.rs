@@ -72,6 +72,22 @@ impl<T> SharedSlice<T> {
         unsafe { Self::from_raw_parts(ptr, len, owner) }
     }
 
+    /// Move an owned vector behind a shared slice *as heap memory*: the
+    /// vector moves into a tagged owner (its buffer does not move), so
+    /// clones alias it instead of copying, while residency accounting
+    /// still reports the bytes as heap rather than as an external
+    /// mapping ([`Backing::Heap`]).
+    pub fn freeze(v: Vec<T>) -> Self
+    where
+        T: Send + Sync + 'static,
+    {
+        let (ptr, len) = (v.as_ptr(), v.len());
+        let owner: SectionOwner = Arc::new(Frozen(Box::new(v)));
+        // SAFETY: the buffer moved into the owner Arc without its heap
+        // allocation moving; it is aligned, initialized, and immutable.
+        unsafe { Self::from_raw_parts(ptr, len, owner) }
+    }
+
     /// The elements.
     #[inline]
     pub fn as_slice(&self) -> &[T] {
@@ -136,6 +152,23 @@ impl<T: std::fmt::Debug> std::fmt::Debug for SharedSlice<T> {
     }
 }
 
+/// Where a section's bytes live. The categories are disjoint.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Backing {
+    /// Private heap memory: an owned vector, or one frozen behind a
+    /// [`SharedSlice::freeze`] view that several matrices alias.
+    Heap,
+    /// Memory owned elsewhere (e.g. an mmap'd `.msb` file).
+    Shared,
+    /// The process-wide unit arena ([`shared_ones`]), resident once per
+    /// process rather than per matrix.
+    Unit,
+}
+
+/// Owner tag of a heap vector frozen by [`SharedSlice::freeze`] —
+/// type-erased so any element type carries the same tag.
+struct Frozen(#[allow(dead_code)] Box<dyn Any + Send + Sync>);
+
 /// One CSR section: either an owned heap vector or a [`SharedSlice`] view
 /// into memory owned elsewhere (e.g. an mmap'd `.msb` file).
 pub enum Storage<T> {
@@ -155,7 +188,8 @@ impl<T> Storage<T> {
         }
     }
 
-    /// `true` iff backed by a [`SharedSlice`] rather than the heap.
+    /// `true` iff backed by a [`SharedSlice`] (a mapping, the unit arena,
+    /// or a frozen heap vector) rather than an owned `Vec`.
     pub fn is_shared(&self) -> bool {
         matches!(self, Storage::Shared(_))
     }
@@ -163,9 +197,28 @@ impl<T> Storage<T> {
     /// `true` iff backed by the process-wide unit arena
     /// ([`shared_ones`]) — owner-typed, so it works for any `T`.
     pub fn is_unit_arena(&self) -> bool {
+        self.backing() == Backing::Unit
+    }
+
+    /// Where the section's bytes live, for residency accounting.
+    pub fn backing(&self) -> Backing {
         match self {
-            Storage::Owned(_) => false,
-            Storage::Shared(s) => is_unit_owner(&s.owner),
+            Storage::Owned(_) => Backing::Heap,
+            Storage::Shared(s) if is_unit_owner(&s.owner) => Backing::Unit,
+            Storage::Shared(s) if s.owner.as_ref().is::<Frozen>() => Backing::Heap,
+            Storage::Shared(_) => Backing::Shared,
+        }
+    }
+
+    /// Freeze a heap-owned section behind a [`SharedSlice::freeze`] view
+    /// so later clones alias it; shared sections are returned unchanged.
+    pub fn into_shared(self) -> Self
+    where
+        T: Send + Sync + 'static,
+    {
+        match self {
+            Storage::Owned(v) => Storage::Shared(SharedSlice::freeze(v)),
+            shared => shared,
         }
     }
 
@@ -361,6 +414,25 @@ mod tests {
         assert!(!is_shared_ones(&plain));
         // Zero-length requests are fine.
         assert!(shared_ones(0).is_empty());
+    }
+
+    #[test]
+    fn frozen_vectors_alias_and_report_as_heap() {
+        let v = vec![4u32, 5, 6];
+        let addr = v.as_ptr();
+        let owned: Storage<u32> = v.into();
+        assert_eq!(owned.backing(), Backing::Heap);
+        let frozen = owned.into_shared();
+        assert!(frozen.is_shared());
+        assert_eq!(frozen.backing(), Backing::Heap, "frozen heap is still heap");
+        assert_eq!(frozen.as_ptr(), addr, "freezing moves no elements");
+        let alias = frozen.clone();
+        assert_eq!(alias.as_ptr(), addr, "clones alias the frozen buffer");
+        let mapped: Storage<u32> = SharedSlice::from_vec(vec![1]).into();
+        assert_eq!(mapped.backing(), Backing::Shared);
+        assert_eq!(mapped.clone().into_shared().backing(), Backing::Shared);
+        let ones: Storage<f64> = shared_ones(3).into();
+        assert_eq!(ones.backing(), Backing::Unit);
     }
 
     #[test]
